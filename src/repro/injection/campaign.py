@@ -62,6 +62,10 @@ views cached across chunks.
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import functools
+import itertools
 import os
 import time
 import zlib
@@ -266,13 +270,10 @@ class CampaignConfig:
         if not self.adaptive:
             stray = [
                 name
-                for name, value in (
-                    ("ci_width", self.ci_width),
-                    ("round_size", self.round_size),
-                    ("max_trials_per_target", self.max_trials_per_target),
-                    ("budget_policy", self.budget_policy),
+                for name in (
+                    "ci_width", "round_size", "max_trials_per_target", "budget_policy"
                 )
-                if value is not None
+                if getattr(self, name) is not None
             ]
             if stray:
                 raise CampaignError(
@@ -430,31 +431,35 @@ def _materialize_case(state: dict, case_id: str) -> dict:
     return entry
 
 
+#: One scheduled injection: ``(module, signal, time_ms, model_index)``.
+_Spec = tuple[str, str, int, int]
+
+
 def _run_shard(
-    task: tuple[str, tuple[tuple[str, str], ...]],
+    task: tuple[str, tuple[_Spec, ...]],
 ) -> tuple[list[InjectionOutcome], dict | None, float]:
-    """Worker entry point: run one shard of the target grid.
+    """Worker entry point: run one batch of a test case's injections.
 
     The campaign payload (system, config, Golden Runs, checkpoints) is
-    already worker-resident — a task is just ``(case_id, targets)``.
-    Returns the shard's outcome list (IR traces stay worker-local)
-    plus, when the parent campaign observes, the worker's observability
-    payload and the shard's wall-clock seconds.
+    already worker-resident — a task is just ``(case_id, specs)``, the
+    exact points the parent's scheduler chose.  Returns the outcomes in
+    spec order (IR traces stay worker-local) plus, when the parent
+    campaign observes, the worker's observability payload and the
+    shard's wall-clock seconds.
     """
-    case_id, targets = task
+    case_id, specs = task
     started = time.perf_counter()
     state = _WORKER_STATE
     assert state is not None, "worker used before _worker_init ran"
     entry = state["cases"].get(case_id)
     if entry is None:
         entry = _materialize_case(state, case_id)
+    runner = entry["runner"]
     observer = None
     if state["observe"]:
         from repro.obs.observer import CampaignObserver
 
         observer = CampaignObserver.for_worker(state["system"])
-    runner = entry["runner"]
-    if observer is not None and observer.metrics is not None:
         runner.set_metrics(observer.metrics)
     try:
         campaign = InjectionCampaign(
@@ -466,8 +471,8 @@ def _run_shard(
         )
         outcomes = [
             outcome
-            for outcome, _ in campaign._case_injections(
-                runner, entry["golden"], targets, entry["checkpoints"]
+            for outcome, _ in campaign._injections(
+                runner, entry["golden"], entry["checkpoints"], specs
             )
         ]
     finally:
@@ -476,62 +481,60 @@ def _run_shard(
     return outcomes, obs_payload, time.perf_counter() - started
 
 
-def _run_adaptive_shard(
-    task: tuple[str, tuple[tuple[str, str, int, int], ...]],
-) -> tuple[list[InjectionOutcome], dict | None, float]:
-    """Worker entry point for one adaptive round's fresh trials of a case.
+def _target_chunks(
+    specs: tuple[_Spec, ...], size: int | None
+) -> list[tuple[_Spec, ...]]:
+    """Split a case's specs (grouped by target) into tasks of ``size`` targets.
 
-    A task is ``(case_id, specs)`` where each spec is ``(module, signal,
-    time_ms, model_index)`` — the parent's round scheduler decides the
-    exact points, so no grid expansion happens worker-side.  Outcomes
-    return in spec order.
+    ``size=None`` keeps the batch whole.
     """
-    case_id, specs = task
-    started = time.perf_counter()
-    state = _WORKER_STATE
-    assert state is not None, "worker used before _worker_init ran"
-    entry = state["cases"].get(case_id)
-    if entry is None:
-        entry = _materialize_case(state, case_id)
-    observer = None
-    if state["observe"]:
-        from repro.obs.observer import CampaignObserver
+    if size is None:
+        return [specs]
+    rows = [
+        tuple(group)
+        for _, group in itertools.groupby(specs, key=lambda spec: spec[:2])
+    ]
+    return [
+        tuple(itertools.chain.from_iterable(rows[start : start + size]))
+        for start in range(0, len(rows), size)
+    ]
 
-        observer = CampaignObserver.for_worker(state["system"])
-    runner = entry["runner"]
-    if observer is not None and observer.metrics is not None:
-        runner.set_metrics(observer.metrics)
-    config = state["config"]
-    checkpoints = entry["checkpoints"]
-    try:
-        campaign = InjectionCampaign(
-            state["system"],
-            state["run_factory"],
-            {case_id: entry["case"]},
-            config,
-            observer=observer,
-        )
-        points = [
-            _InjectionPoint(
-                module,
-                signal,
-                time_ms,
-                config.error_models[model_index],
-                checkpoints.get(time_ms),
+
+def _plan_round(
+    schedule: Mapping[tuple[str, str], Sequence[tuple[str, int, int]]],
+    case_ids: Sequence[str],
+    cache: Mapping[tuple, Mapping[tuple[int, str], InjectionOutcome]],
+    models: Sequence[ErrorModel],
+) -> tuple[list[tuple], list[tuple[str, tuple[_Spec, ...]]]]:
+    """Split one round into store-served and to-be-executed points.
+
+    ``schedule`` maps each target to its ``(case_id, time_ms,
+    model_index)`` trials.  Returns ``(plan, batches)``: ``plan`` lists
+    every case with its ``(target, cached_outcome_or_None)`` points in
+    schedule order; ``batches`` holds one ``(case_id, specs)`` per case
+    with points to execute, in the same order.
+    """
+    per_case: dict[str, list] = {case_id: [] for case_id in case_ids}
+    for target, trials in schedule.items():
+        for case_id, time_ms, index in trials:
+            per_case[case_id].append((target, time_ms, index))
+    plan: list[tuple] = []
+    batches = []
+    for case_id, entries in per_case.items():
+        specs = []
+        points = []
+        for target, time_ms, index in entries:
+            row_cache = cache.get((case_id, target))
+            cached = None if row_cache is None else row_cache.get(
+                (time_ms, models[index].name)
             )
-            for module, signal, time_ms, model_index in specs
-        ]
-        context = _PointsContext(
-            campaign, runner, entry["golden"], points, checkpoints
-        )
-        outcomes = [
-            outcome
-            for outcome, _ in campaign._exec_backend.case_injections(context)
-        ]
-    finally:
-        runner.set_metrics(None)
-    obs_payload = observer.worker_payload() if observer is not None else None
-    return outcomes, obs_payload, time.perf_counter() - started
+            points.append((target, cached))
+            if cached is None:
+                specs.append((target[0], target[1], time_ms, index))
+        plan.append((case_id, points))
+        if specs:
+            batches.append((case_id, tuple(specs)))
+    return plan, batches
 
 
 @dataclass(frozen=True)
@@ -548,9 +551,10 @@ class _InjectionPoint:
 class _CaseContext:
     """The campaign-side view a simulation backend works against.
 
-    Owns grid order, observer emission, Golden-Run comparison and
-    outcome records for one test case, so backends only decide *how*
-    runs execute (see :mod:`repro.simulation.backend`).
+    Holds one test case's runtime, Golden Run and the explicit
+    injection points the scheduler chose for it, and owns observer
+    emission, Golden-Run comparison and outcome records, so backends
+    only decide *how* runs execute (see :mod:`repro.simulation.backend`).
     """
 
     def __init__(
@@ -558,16 +562,14 @@ class _CaseContext:
         campaign: "InjectionCampaign",
         runner: SimulationRun,
         golden: GoldenRun,
-        targets: Sequence[tuple[str, str]],
-        checkpoints: Mapping[int, RunCheckpoint],
+        points: Sequence[_InjectionPoint],
     ) -> None:
         self._campaign = campaign
         self.runner = runner
         self.golden = golden
         self.golden_ref = golden.reference
         self.config = campaign.config
-        self._targets = tuple(targets)
-        self._checkpoints = checkpoints
+        self._points = tuple(points)
 
     @property
     def metrics(self):
@@ -576,29 +578,16 @@ class _CaseContext:
         return None if obs is None else obs.metrics
 
     def injection_points(self) -> Iterator[_InjectionPoint]:
-        """The case's planned injections, in canonical grid order."""
-        config = self.config
-        for module, signal in self._targets:
-            for time_ms in config.injection_times_ms:
-                checkpoint = self._checkpoints.get(time_ms)
-                for model in config.error_models:
-                    yield _InjectionPoint(
-                        module, signal, time_ms, model, checkpoint
-                    )
+        """The case's scheduled injections, in schedule order."""
+        return iter(self._points)
 
     def run_reference(
         self, point: _InjectionPoint
     ) -> tuple[InjectionOutcome, RunResult]:
         """Execute one injection with the frame-stepping runtime."""
         return self._campaign._one_injection(
-            self.runner,
-            self.golden,
-            self.golden.case_id,
-            point.module,
-            point.signal,
-            point.time_ms,
-            point.model,
-            point.checkpoint,
+            self.runner, self.golden, self.golden.case_id, point.module,
+            point.signal, point.time_ms, point.model, point.checkpoint,
             self.golden_ref,
         )
 
@@ -614,57 +603,139 @@ class _CaseContext:
         (``RunStarted``, ``CheckpointReused``, then the outcome chain),
         so event streams stay comparable across backends.
         """
-        campaign = self._campaign
-        obs = campaign.observer
-        case_id = self.golden.case_id
-        if obs is not None:
-            obs.on_run_started(
-                case_id,
-                kind="injection",
-                module=point.module,
-                signal=point.signal,
-                time_ms=point.time_ms,
-                error_model=point.model.name,
-            )
-            if point.checkpoint is not None:
-                obs.on_checkpoint_reused(
-                    case_id, point.time_ms, skipped_ms=point.checkpoint.time_ms
-                )
-        return campaign._finish_injection(
-            self.golden,
-            case_id,
-            point.module,
-            point.signal,
-            point.time_ms,
-            point.model,
-            injected,
-            fired_at_ms,
+        self._campaign._announce_run(self.golden.case_id, point)
+        return self._campaign._finish_injection(
+            self.golden, point, injected, fired_at_ms
         )
 
 
-class _PointsContext(_CaseContext):
-    """A case context over an explicit list of injection points.
+class _AdaptiveRounds:
+    """Adaptive mode's scheduler (see :mod:`repro.adaptive`).
 
-    The adaptive round loop schedules arbitrary subsets of the
-    exhaustive grid; wrapping them in a context keeps execution on the
-    normal backend path (:meth:`SimulationBackend.case_injections`), so
-    adaptive campaigns run under both the reference and the batched
-    backend without backend changes.
+    Resolves the stopping parameters — store row keys use the resolved
+    values, so configs that only spell the defaults differently share
+    adaptive rows — and draws rounds from an
+    :class:`~repro.adaptive.AdaptiveController`.  After each round its
+    outcomes are folded into a
+    :class:`~repro.obs.propagation.PropagationObservations`, whose
+    widest output-arc Wilson half-width per target decides retirement.
     """
+
+    z = 1.96
 
     def __init__(
         self,
-        campaign: "InjectionCampaign",
-        runner: SimulationRun,
-        golden: GoldenRun,
-        points: Sequence[_InjectionPoint],
-        checkpoints: Mapping[int, RunCheckpoint],
+        system: SystemModel,
+        observer: "CampaignObserver | None",
+        config: CampaignConfig,
+        live_targets: Sequence[tuple[str, str]],
+        grid: Sequence[tuple[str, int, int]],
     ) -> None:
-        super().__init__(campaign, runner, golden, (), checkpoints)
-        self._points = tuple(points)
+        from repro.adaptive import AdaptiveController, get_policy
+        from repro.obs.propagation import PropagationObservations
 
-    def injection_points(self) -> Iterator[_InjectionPoint]:
-        return iter(self._points)
+        self._system = system
+        self._observer = observer
+        # Validated non-empty when set, so ``or`` picks the defaults.
+        self.ci_width = config.ci_width or 0.05
+        self.round_size = config.round_size or max(1, 2 * len(live_targets))
+        self.cap = config.max_trials_per_target
+        self.policy = config.budget_policy or "widest-first"
+        self.n_grid = len(grid)
+        self.controller = AdaptiveController(
+            {target: grid for target in live_targets},
+            ci_width=self.ci_width,
+            round_size=self.round_size,
+            max_trials_per_target=self.cap,
+            seed=config.seed,
+            z=self.z,
+            policy=get_policy(self.policy),
+        )
+        self._observations = PropagationObservations(system)
+
+    def row_key(self, unit_digest: str) -> str:
+        """Store key of a target row sampled under these parameters."""
+        from repro.store.fingerprints import content_digest
+
+        return content_digest(
+            {
+                "kind": "adaptive",
+                "base": unit_digest,
+                "ci_width": self.ci_width,
+                "round_size": self.round_size,
+                "max_trials_per_target": (
+                    self.cap if self.cap is not None else self.n_grid
+                ),
+                "z": self.z,
+                "policy": self.policy,
+            }
+        )
+
+    def rounds(self) -> Iterator[dict]:
+        """Rounds until every target has retired."""
+        while not self.controller.finished:
+            yield self.controller.next_round()
+
+    def close_round(
+        self, outcomes: Sequence[InjectionOutcome], result: CampaignResult
+    ) -> None:
+        """Fold a round's outcomes, then retire targets that are done."""
+        from repro.adaptive import TargetMeasurement
+
+        controller = self.controller
+        obs = self._observer
+        for outcome in outcomes:
+            self._observations.record(outcome)
+        measurements = {}
+        for target in controller.open_targets():
+            module, signal = target
+            if controller.n_taken(target) == 0:
+                measurements[target] = TargetMeasurement(0.5, 0.5)
+                continue
+            half = -1.0
+            point = 0.0
+            for output in self._system.module(module).outputs:
+                arc = self._observations.arc(module, signal, output)
+                lo, hi = arc.wilson_interval(self.z)
+                if (hi - lo) / 2.0 > half:
+                    half = (hi - lo) / 2.0
+                    point = arc.observed_permeability
+            measurements[target] = TargetMeasurement(
+                # A target with no output arcs has nothing left to learn.
+                half_width=max(half, 0.0),
+                point_estimate=point,
+            )
+        for retiree in controller.complete_round(measurements):
+            result.record_adaptive(
+                AdaptiveRow(
+                    module=retiree.module,
+                    input_signal=retiree.signal,
+                    n_trials=retiree.n_trials,
+                    n_grid=self.n_grid,
+                    half_width=retiree.half_width,
+                    reason=retiree.reason,
+                    round_index=retiree.round_index,
+                )
+            )
+            if obs is not None:
+                obs.on_target_retired(
+                    retiree.module, retiree.signal, retiree.n_trials,
+                    retiree.half_width, retiree.reason, retiree.round_index,
+                )
+        if obs is not None:
+            obs.on_round_completed(
+                controller.round_index, len(outcomes), len(controller.open_targets())
+            )
+
+    def finish(self) -> None:
+        """Report targets that retired without reaching confidence."""
+        unconverged = collections.Counter(
+            retiree.reason
+            for retiree in self.controller.retired()
+            if retiree.reason != "confidence"
+        )
+        if unconverged and self._observer is not None:
+            self._observer.on_budget_exhausted(unconverged)
 
 
 class InjectionCampaign:
@@ -799,19 +870,6 @@ class InjectionCampaign:
         live = tuple(t for t in self._targets if t not in pruned)
         return live, tuple(t for t in self._targets if t in pruned)
 
-    def _record_pruned(
-        self,
-        result: CampaignResult,
-        pruned: Sequence[tuple[str, str]],
-        runs_per_target: int,
-    ) -> int:
-        """Record pruned targets as exact zero-error counts; return arcs."""
-        n_arcs = 0
-        for module, signal in pruned:
-            result.record_pruned(module, signal, runs_per_target)
-            n_arcs += len(self._system.module(module).outputs)
-        return n_arcs
-
     # ------------------------------------------------------------------
     # Incremental execution (repro.store)
     # ------------------------------------------------------------------
@@ -844,6 +902,7 @@ class InjectionCampaign:
         module: str,
         signal: str,
         outcomes: Sequence[InjectionOutcome],
+        kind: str = "unit",
     ) -> dict:
         """Store payload of one executed target row.
 
@@ -866,7 +925,7 @@ class InjectionCampaign:
             )
             arc_counts[output] = [len(outcomes), n_errors]
         return {
-            "kind": "unit",
+            "kind": kind,
             "case_id": case_id,
             "module": module,
             "signal": signal,
@@ -885,127 +944,116 @@ class InjectionCampaign:
         }
 
     def _decode_unit(
-        self, payload: dict, case_id: str, module: str, signal: str
-    ) -> list[InjectionOutcome] | None:
-        """Outcomes of a stored unit, or ``None`` when it cannot be reused.
+        self, payload: dict, kind: str, case_id: str, module: str, signal: str
+    ) -> dict[tuple[int, str], InjectionOutcome] | None:
+        """A stored row's outcomes by ``(time_ms, model_name)``, or ``None``.
 
-        Pruned records (``kind != "unit"``) carry no per-run data and a
-        payload whose outcome count does not match this campaign's grid
-        cannot recompose byte-identically — both are treated as misses.
+        ``kind`` is ``"unit"`` (an exhaustive row: exactly the target's
+        full grid, so it answers any request) or ``"adaptive-unit"``
+        (however many trials the stopping rule needed).  Pruned records
+        carry no per-run data; they and any other mismatch are misses.
+        Reuse stays sound at trial granularity: recomposition only takes
+        outcomes at the exact grid coordinates it scheduled, and per-run
+        seeds depend on coordinates alone.
         """
-        if payload.get("kind") != "unit":
-            return None
         raw = payload.get("outcomes")
-        if not isinstance(raw, list) or len(raw) != self._config.runs_per_target():
+        if payload.get("kind") != kind or not isinstance(raw, list) or not raw:
             return None
         try:
             decoded = [InjectionOutcome.from_jsonable(entry) for entry in raw]
         except (KeyError, TypeError):
             return None
-        for outcome in decoded:
-            if (
-                outcome.case_id != case_id
-                or outcome.module != module
-                or outcome.input_signal != signal
-            ):
-                return None
-        return decoded
-
-    def _decode_adaptive_unit(
-        self, payload: dict, case_id: str, module: str, signal: str
-    ) -> list[InjectionOutcome] | None:
-        """Outcomes of a stored adaptive row, or ``None`` on any mismatch.
-
-        Unlike :meth:`_decode_unit` the outcome count is free — an
-        adaptive row holds however many trials the stopping rule needed.
-        Reuse stays sound at trial granularity: the round loop only
-        consumes cached outcomes whose exact grid coordinates it
-        scheduled, and per-run seeds depend on coordinates alone.
-        """
-        if payload.get("kind") != "adaptive-unit":
+        if any(
+            (o.case_id, o.module, o.input_signal) != (case_id, module, signal)
+            for o in decoded
+        ):
             return None
-        raw = payload.get("outcomes")
-        if not isinstance(raw, list) or not raw:
+        trials = {(o.scheduled_time_ms, o.error_model): o for o in decoded}
+        full = self._config.runs_per_target()
+        if kind == "unit" and not len(raw) == len(trials) == full:
             return None
-        try:
-            decoded = [InjectionOutcome.from_jsonable(entry) for entry in raw]
-        except (KeyError, TypeError):
-            return None
-        for outcome in decoded:
-            if (
-                outcome.case_id != case_id
-                or outcome.module != module
-                or outcome.input_signal != signal
-            ):
-                return None
-        return decoded
+        return trials
 
-    def _plan_case_store(
+    def _plan_store(
         self,
-        store,
-        builder,
-        stats,
-        case_id: str,
-        case: CaseT,
+        session,
         live_targets: Sequence[tuple[str, str]],
         pruned: Sequence[tuple[str, str]],
-    ) -> tuple[dict, dict]:
-        """Compute one case's unit keys and fetch every reusable row.
+        adaptive: _AdaptiveRounds | None,
+    ) -> tuple[dict, dict, dict]:
+        """Look every live target row up in the result store, once.
 
-        Returns ``(keys, cached)`` where ``cached`` maps hit targets to
-        their decoded outcome lists.  Keys cover pruned targets too so
-        their records can be published.
+        Returns ``(case_keys, row_keys, cache)``: each case's unit keys
+        (pruned targets included, so their records can be published),
+        the digest each cacheable row publishes under (its unit key; in
+        adaptive mode its adaptive row key) and, per answered row, the
+        reusable outcomes by grid coordinates.  A full exhaustive unit
+        satisfies any request; adaptive mode falls back to a previously
+        published ``adaptive-unit`` row.
         """
+        case_keys: dict[str, dict] = {}
+        row_keys: dict[tuple, str] = {}
+        cache: dict[tuple, dict[tuple[int, str], InjectionOutcome]] = {}
+        if session is None:
+            return case_keys, row_keys, cache
+        store, builder, stats = session
         obs = self._observer
-        keys = builder.keys_for_case(
-            case_id, case, (*live_targets, *pruned)
-        )
-        cached: dict[tuple[str, str], list[InjectionOutcome]] = {}
-        for target in live_targets:
-            key = keys[target]
-            if not key.cacheable:
-                stats.uncacheable += 1
-                continue
-            if self._config.no_cache:
-                continue
-            payload = store.fetch(key.digest)
-            decoded = (
-                None
-                if payload is None
-                else self._decode_unit(payload, case_id, *target)
-            )
-            if decoded is None:
-                stats.misses += 1
-                if obs is not None:
-                    obs.on_store_miss(case_id, *target)
-            else:
-                cached[target] = decoded
+        for case_id, case in self._test_cases.items():
+            keys = builder.keys_for_case(case_id, case, (*live_targets, *pruned))
+            case_keys[case_id] = keys
+            for target in live_targets:
+                key = keys[target]
+                if not key.cacheable:
+                    stats.uncacheable += 1
+                    continue
+                row = (case_id, target)
+                lookups = [(key.digest, "unit")]
+                if adaptive is None:
+                    row_keys[row] = key.digest
+                else:
+                    row_keys[row] = adaptive.row_key(key.digest)
+                    lookups.append((row_keys[row], "adaptive-unit"))
+                if self._config.no_cache:
+                    continue
+                trials = None
+                for digest, kind in lookups:
+                    payload = store.fetch(digest)
+                    if payload is not None:
+                        trials = self._decode_unit(payload, kind, case_id, *target)
+                    if trials is not None:
+                        break
+                if trials is None:
+                    stats.misses += 1
+                    if obs is not None:
+                        obs.on_store_miss(case_id, *target)
+                    continue
                 stats.hits += 1
-                stats.runs_reused += len(decoded)
-        return keys, cached
+                cache[row] = trials
+        return case_keys, row_keys, cache
 
-    def _publish_case_units(
+    def _publish(
         self,
         store,
-        keys: dict,
         case_id: str,
-        fresh: Mapping[tuple[str, str], list[InjectionOutcome]],
+        keys: Mapping,
+        rows: Mapping[tuple[str, str], tuple[str, list[InjectionOutcome]]],
         pruned: Sequence[tuple[str, str]],
     ) -> None:
-        """Publish freshly executed rows and pruned-target records.
+        """Publish one case's executed rows and pruned-target records.
 
-        A pruned record shares its key with the full unit the target
-        would produce if executed (the key excludes ``static_prune``),
-        so it is only written where nothing is stored yet — a full unit
-        is never clobbered by the poorer pruned form.
+        ``rows`` maps each target that gained executed runs to its row
+        key and *every* outcome of the row, cached ones included, so a
+        republished row never loses trials.  A pruned record shares its
+        key with the full unit the target would produce if executed
+        (the key excludes ``static_prune``), so it is only written where
+        nothing is stored yet — a full unit is never clobbered by the
+        poorer pruned form.
         """
-        for (module, signal), outcomes in fresh.items():
-            key = keys[(module, signal)]
-            if key.cacheable:
-                store.put(
-                    key.digest,
-                    self._encode_unit(case_id, module, signal, outcomes),
-                )
+        kind = "adaptive-unit" if self._config.adaptive else "unit"
+        for (module, signal), (digest, outcomes) in rows.items():
+            store.put(
+                digest, self._encode_unit(case_id, module, signal, outcomes, kind)
+            )
         for module, signal in pruned:
             key = keys[(module, signal)]
             if key.cacheable and not store.contains(key.digest):
@@ -1019,472 +1067,6 @@ class InjectionCampaign:
                         "n_runs": self._config.runs_per_target(),
                     },
                 )
-
-    # ------------------------------------------------------------------
-    # Adaptive execution (repro.adaptive)
-    # ------------------------------------------------------------------
-
-    def _execute_adaptive(
-        self,
-        progress: ProgressCallback | None,
-        mode: str,
-        make_run_batches,
-    ) -> CampaignResult:
-        """The confidence-driven round loop shared by both execute paths.
-
-        ``make_run_batches(need_cases)`` returns ``(run_batches,
-        cleanup)``: ``run_batches`` executes one round's fresh trial
-        batches (``[(case_id, specs)]`` with specs ``(module, signal,
-        time_ms, model_index)``) and returns ``{case_id: [outcomes in
-        spec order]}``; ``cleanup`` releases executor resources.
-        ``need_cases`` are the cases that may execute at all (rows not
-        fully covered by the result store) so the parallel path only
-        records Golden Runs and ships worker blobs for those.
-        """
-        from repro.adaptive import (
-            AdaptiveController,
-            TargetMeasurement,
-            get_policy,
-        )
-        from repro.obs.propagation import PropagationObservations
-
-        obs = self._observer
-        config = self._config
-        started = time.perf_counter()
-        if obs is not None:
-            obs.on_campaign_started(self, mode=mode)
-            obs.on_backend_selected(self._exec_backend.name)
-        self._lint_gate()
-        live_targets, pruned = self._plan_pruning()
-        session = self._store_session()
-        result = CampaignResult(self._system)
-        completed = 0
-        total = self.total_runs()
-        if pruned:
-            per_target = len(self._test_cases) * config.runs_per_target()
-            n_arcs = self._record_pruned(result, pruned, per_target)
-            if obs is not None:
-                obs.on_arcs_pruned(pruned, per_target, n_arcs)
-            completed = len(pruned) * per_target
-            if progress is not None:
-                progress(completed, total)
-
-        # Resolved stopping parameters (store keys use the resolved
-        # values, so configs that only spell the defaults differently
-        # share adaptive rows).
-        z = 1.96
-        ci_width = config.ci_width if config.ci_width is not None else 0.05
-        round_size = (
-            config.round_size
-            if config.round_size is not None
-            else max(1, 2 * len(live_targets))
-        )
-        cap = config.max_trials_per_target
-        policy_name = (
-            config.budget_policy
-            if config.budget_policy is not None
-            else "widest-first"
-        )
-        case_ids = tuple(self._test_cases)
-        runs_per_target = config.runs_per_target()
-        n_pool = len(case_ids) * runs_per_target
-
-        # Store planning: per (case, target) a map of cached outcomes
-        # keyed by exact grid coordinates.  A full exhaustive unit
-        # satisfies any adaptive request; failing that, a previously
-        # published adaptive row under the resolved stopping parameters.
-        cache: dict[
-            tuple[str, tuple[str, str]],
-            dict[tuple[int, str], InjectionOutcome],
-        ] = {}
-        row_key: dict[tuple[str, tuple[str, str]], str] = {}
-        full_rows: set[tuple[str, tuple[str, str]]] = set()
-        case_keys: dict[str, dict] = {}
-        if session is not None:
-            from repro.store.fingerprints import content_digest
-
-            store, builder, stats = session
-            for case_id, case in self._test_cases.items():
-                keys = builder.keys_for_case(
-                    case_id, case, (*live_targets, *pruned)
-                )
-                case_keys[case_id] = keys
-                for target in live_targets:
-                    key = keys[target]
-                    if not key.cacheable:
-                        stats.uncacheable += 1
-                        continue
-                    row_key[(case_id, target)] = content_digest(
-                        {
-                            "kind": "adaptive",
-                            "base": key.digest,
-                            "ci_width": ci_width,
-                            "round_size": round_size,
-                            "max_trials_per_target": (
-                                cap if cap is not None else n_pool
-                            ),
-                            "z": z,
-                            "policy": policy_name,
-                        }
-                    )
-                    if config.no_cache:
-                        continue
-                    payload = store.fetch(key.digest)
-                    decoded = (
-                        None
-                        if payload is None
-                        else self._decode_unit(payload, case_id, *target)
-                    )
-                    if decoded is None:
-                        payload = store.fetch(row_key[(case_id, target)])
-                        decoded = (
-                            None
-                            if payload is None
-                            else self._decode_adaptive_unit(
-                                payload, case_id, *target
-                            )
-                        )
-                    if decoded is None:
-                        stats.misses += 1
-                        if obs is not None:
-                            obs.on_store_miss(case_id, *target)
-                        continue
-                    stats.hits += 1
-                    trial_map = {
-                        (o.scheduled_time_ms, o.error_model): o
-                        for o in decoded
-                    }
-                    cache[(case_id, target)] = trial_map
-                    if len(trial_map) >= runs_per_target:
-                        full_rows.add((case_id, target))
-
-        need_cases = tuple(
-            case_id
-            for case_id in case_ids
-            if any(
-                (case_id, target) not in full_rows for target in live_targets
-            )
-        )
-        pool_triples = tuple(
-            (case_id, time_ms, model_index)
-            for case_id in case_ids
-            for time_ms in config.injection_times_ms
-            for model_index in range(len(config.error_models))
-        )
-        controller: AdaptiveController[tuple[str, int, int]] = (
-            AdaptiveController(
-                {target: pool_triples for target in live_targets},
-                ci_width=ci_width,
-                round_size=round_size,
-                max_trials_per_target=cap,
-                seed=config.seed,
-                z=z,
-                policy=get_policy(policy_name),
-            )
-        )
-        observations = PropagationObservations(self._system)
-        achieved: dict[
-            tuple[str, tuple[str, str]], list[InjectionOutcome]
-        ] = {}
-        fresh_rows: set[tuple[str, tuple[str, str]]] = set()
-        run_batches, cleanup = make_run_batches(need_cases)
-        try:
-            while not controller.finished:
-                schedule = controller.next_round()
-                per_case: dict[str, list] = {cid: [] for cid in case_ids}
-                for target, trials in schedule.items():
-                    for case_id, time_ms, model_index in trials:
-                        per_case[case_id].append(
-                            (target, time_ms, model_index)
-                        )
-                batches = []
-                plan: list[tuple[str, list]] = []
-                for case_id in case_ids:
-                    entries = per_case[case_id]
-                    if not entries:
-                        continue
-                    specs: list[tuple[str, str, int, int]] = []
-                    rows: list = []
-                    for target, time_ms, model_index in entries:
-                        model_name = config.error_models[model_index].name
-                        trial_map = cache.get((case_id, target))
-                        outcome = (
-                            None
-                            if trial_map is None
-                            else trial_map.get((time_ms, model_name))
-                        )
-                        if outcome is None:
-                            rows.append((target, None, len(specs)))
-                            specs.append(
-                                (target[0], target[1], time_ms, model_index)
-                            )
-                        else:
-                            rows.append((target, outcome, -1))
-                    if specs:
-                        batches.append((case_id, tuple(specs)))
-                    plan.append((case_id, rows))
-                executed = run_batches(batches) if batches else {}
-                n_round = 0
-                for case_id, rows in plan:
-                    fresh_list = executed.get(case_id, [])
-                    for target, cached_outcome, index in rows:
-                        if cached_outcome is None:
-                            outcome = fresh_list[index]
-                            fresh_rows.add((case_id, target))
-                            if session is not None:
-                                session[2].runs_executed += 1
-                        else:
-                            outcome = cached_outcome
-                            if session is not None:
-                                session[2].runs_reused += 1
-                            if obs is not None:
-                                obs.on_outcome(outcome)
-                        observations.record(outcome)
-                        result.add(outcome)
-                        achieved.setdefault((case_id, target), []).append(
-                            outcome
-                        )
-                        n_round += 1
-                        completed += 1
-                if progress is not None:
-                    progress(completed, total)
-                measurements = {}
-                for target in controller.open_targets():
-                    module, signal = target
-                    if controller.n_taken(target) == 0:
-                        measurements[target] = TargetMeasurement(0.5, 0.5)
-                        continue
-                    half = -1.0
-                    point = 0.0
-                    for output in self._system.module(module).outputs:
-                        arc = observations.arc(module, signal, output)
-                        lo, hi = arc.wilson_interval(z)
-                        if (hi - lo) / 2.0 > half:
-                            half = (hi - lo) / 2.0
-                            point = arc.observed_permeability
-                    if half < 0.0:
-                        half = 0.0  # a target with no output arcs
-                    measurements[target] = TargetMeasurement(
-                        half_width=half, point_estimate=point
-                    )
-                for retiree in controller.complete_round(measurements):
-                    result.record_adaptive(
-                        AdaptiveRow(
-                            module=retiree.module,
-                            input_signal=retiree.signal,
-                            n_trials=retiree.n_trials,
-                            n_grid=n_pool,
-                            half_width=retiree.half_width,
-                            reason=retiree.reason,
-                            round_index=retiree.round_index,
-                        )
-                    )
-                    if obs is not None:
-                        obs.on_target_retired(
-                            retiree.module,
-                            retiree.signal,
-                            retiree.n_trials,
-                            retiree.half_width,
-                            retiree.reason,
-                            retiree.round_index,
-                        )
-                if obs is not None:
-                    obs.on_round_completed(
-                        controller.round_index,
-                        n_round,
-                        len(controller.open_targets()),
-                    )
-        finally:
-            cleanup()
-        unconverged: dict[str, int] = {}
-        for retiree in controller.retired():
-            if retiree.reason != "confidence":
-                unconverged[retiree.reason] = (
-                    unconverged.get(retiree.reason, 0) + 1
-                )
-        if unconverged and obs is not None:
-            obs.on_budget_exhausted(unconverged)
-        if session is not None:
-            store, builder, stats = session
-            for case_id in case_ids:
-                self._publish_case_units(
-                    store, case_keys[case_id], case_id, {}, pruned
-                )
-                for target in live_targets:
-                    row = (case_id, target)
-                    if row not in fresh_rows or row not in row_key:
-                        continue
-                    payload = self._encode_unit(
-                        case_id, target[0], target[1], achieved[row]
-                    )
-                    payload["kind"] = "adaptive-unit"
-                    store.put(row_key[row], payload)
-            self.last_store_stats = stats
-        else:
-            self.last_store_stats = None
-        if obs is not None:
-            obs.on_campaign_finished(result, time.perf_counter() - started)
-        return result
-
-    def _execute_adaptive_serial(
-        self,
-        progress: ProgressCallback | None,
-        inspector: "InspectorCallback | None",
-    ) -> CampaignResult:
-        """Adaptive rounds on the serial path (lazy Golden Runs per case)."""
-        config = self._config
-        case_state: dict[str, tuple] = {}
-
-        def run_batches(batches):
-            executed: dict[str, list[InjectionOutcome]] = {}
-            for case_id, specs in batches:
-                entry = case_state.get(case_id)
-                if entry is None:
-                    entry = self._golden_for_case(
-                        case_id, self._test_cases[case_id]
-                    )
-                    self._golden_runs[case_id] = entry[1]
-                    case_state[case_id] = entry
-                runner, golden, checkpoints = entry
-                points = [
-                    _InjectionPoint(
-                        module,
-                        signal,
-                        time_ms,
-                        config.error_models[model_index],
-                        checkpoints.get(time_ms),
-                    )
-                    for module, signal, time_ms, model_index in specs
-                ]
-                context = _PointsContext(
-                    self, runner, golden, points, checkpoints
-                )
-                outcomes = []
-                for outcome, injected in self._exec_backend.case_injections(
-                    context
-                ):
-                    if inspector is not None:
-                        inspector(outcome, injected, golden)
-                    outcomes.append(outcome)
-                executed[case_id] = outcomes
-            return executed
-
-        def make(need_cases):
-            return run_batches, (lambda: None)
-
-        return self._execute_adaptive(progress, "serial", make)
-
-    def _execute_adaptive_parallel(
-        self,
-        max_workers: int | None,
-        progress: ProgressCallback | None,
-    ) -> CampaignResult:
-        """Adaptive rounds over a long-lived worker pool.
-
-        Golden Runs (and shared-memory blobs) are prepared only for the
-        cases the store cannot fully answer; the pool stays up across
-        rounds so workers keep their per-case runtimes cached.
-        """
-        import concurrent.futures
-        from multiprocessing import shared_memory
-
-        obs = self._observer
-        segments: list = []
-        chunk_counter = [0]
-
-        def make(need_cases):
-            case_blobs = []
-            for case_id in need_cases:
-                runner, golden, checkpoints = self._golden_for_case(
-                    case_id, self._test_cases[case_id]
-                )
-                self._golden_runs[case_id] = golden
-                signals, duration_ms, flat = pack_trace_samples(
-                    golden.result.traces
-                )
-                n_bytes = len(flat) * flat.itemsize
-                shm_name = None
-                raw = None
-                try:
-                    segment = shared_memory.SharedMemory(
-                        create=True, size=max(1, n_bytes)
-                    )
-                    segment.buf[:n_bytes] = memoryview(flat).cast("B")
-                    segments.append(segment)
-                    shm_name = segment.name
-                except OSError:
-                    raw = flat.tobytes()
-                case_blobs.append(
-                    {
-                        "case_id": case_id,
-                        "case": self._test_cases[case_id],
-                        "signals": signals,
-                        "duration_ms": duration_ms,
-                        "shm_name": shm_name,
-                        "raw": raw,
-                        "checkpoints": {
-                            time_ms: cp.without_trace_prefix()
-                            for time_ms, cp in checkpoints.items()
-                        },
-                        "digests": golden.digests,
-                        "initials": golden.initials,
-                        "final_signals": golden.result.final_signals,
-                        "telemetry": golden.result.telemetry,
-                    }
-                )
-            pool = None
-            if case_blobs:
-                payload = (
-                    self._system,
-                    self._run_factory,
-                    self._config,
-                    obs is not None,
-                    tuple(case_blobs),
-                )
-                pool = concurrent.futures.ProcessPoolExecutor(
-                    max_workers=max_workers,
-                    initializer=_worker_init,
-                    initargs=(payload,),
-                )
-
-            def run_batches(batches):
-                assert pool is not None, "fresh trials without worker blobs"
-                executed: dict[str, list[InjectionOutcome]] = {}
-                for index, (outcomes, obs_payload, elapsed_s) in enumerate(
-                    pool.map(_run_adaptive_shard, batches)
-                ):
-                    case_id, specs = batches[index]
-                    executed[case_id] = outcomes
-                    if obs is not None:
-                        if obs_payload is not None:
-                            obs.absorb_worker(obs_payload)
-                        if obs.propagation is not None:
-                            obs.propagation.record_all(outcomes)
-                        obs.on_chunk_completed(
-                            chunk_index=chunk_counter[0],
-                            case_id=case_id,
-                            n_targets=len(
-                                {(m, s) for m, s, _, _ in specs}
-                            ),
-                            n_runs=len(outcomes),
-                            elapsed_s=elapsed_s,
-                        )
-                        chunk_counter[0] += 1
-                return executed
-
-            def cleanup():
-                if pool is not None:
-                    pool.shutdown()
-                for segment in segments:
-                    try:
-                        segment.close()
-                        segment.unlink()
-                    except OSError:  # pragma: no cover - already gone
-                        pass
-
-            return run_batches, cleanup
-
-        return self._execute_adaptive(progress, "parallel", make)
 
     # ------------------------------------------------------------------
     # Lint gate
@@ -1540,7 +1122,8 @@ class InjectionCampaign:
         ----------
         progress:
             Optional ``(completed, total)`` callback, invoked once per
-            completed injection run.
+            executed injection run; runs reused from the result store
+            are reported together, once per case and round.
         inspector:
             Optional callback invoked for every injection run *while
             its full traces are still available* (they are discarded
@@ -1551,267 +1134,9 @@ class InjectionCampaign:
             only freshly *executed* runs reach the inspector — reused
             rows carry outcome records, not traces.
         """
-        if self._config.adaptive:
-            return self._execute_adaptive_serial(progress, inspector)
-        obs = self._observer
-        started = time.perf_counter()
-        if obs is not None:
-            obs.on_campaign_started(self, mode="serial")
-            obs.on_backend_selected(self._exec_backend.name)
-        self._lint_gate()
-        live_targets, pruned = self._plan_pruning()
-        session = self._store_session()
-        result = CampaignResult(self._system)
-        completed = 0
-        total = self.total_runs()
-        if pruned:
-            per_target = len(self._test_cases) * self._config.runs_per_target()
-            n_arcs = self._record_pruned(result, pruned, per_target)
-            if obs is not None:
-                obs.on_arcs_pruned(pruned, per_target, n_arcs)
-            completed = len(pruned) * per_target
-            if progress is not None:
-                progress(completed, total)
-        for case_id, case in self._test_cases.items():
-            if session is None:
-                runner, golden, checkpoints = self._golden_for_case(
-                    case_id, case
-                )
-                self._golden_runs[case_id] = golden
-                for outcome, injected in self._case_injections(
-                    runner, golden, live_targets, checkpoints
-                ):
-                    if inspector is not None:
-                        inspector(outcome, injected, golden)
-                    result.add(outcome)
-                    completed += 1
-                    if progress is not None:
-                        progress(completed, total)
-                continue
-            store, builder, stats = session
-            keys, cached = self._plan_case_store(
-                store, builder, stats, case_id, case, live_targets, pruned
-            )
-            miss_targets = tuple(
-                target for target in live_targets if target not in cached
-            )
-            fresh: dict[tuple[str, str], list[InjectionOutcome]] = {}
-            if miss_targets:
-                # Fully reused cases skip even their Golden Run.
-                runner, golden, checkpoints = self._golden_for_case(
-                    case_id, case
-                )
-                self._golden_runs[case_id] = golden
-                for outcome, injected in self._case_injections(
-                    runner, golden, miss_targets, checkpoints
-                ):
-                    if inspector is not None:
-                        inspector(outcome, injected, golden)
-                    fresh.setdefault(
-                        (outcome.module, outcome.input_signal), []
-                    ).append(outcome)
-                    stats.runs_executed += 1
-                    completed += 1
-                    if progress is not None:
-                        progress(completed, total)
-            self._publish_case_units(store, keys, case_id, fresh, pruned)
-            # Recompose in canonical grid order: cache hits interleave
-            # with fresh rows exactly where a cold run would put them.
-            for target in live_targets:
-                if target in cached:
-                    outcomes = cached[target]
-                    if obs is not None:
-                        obs.on_unit_reused(
-                            case_id,
-                            target[0],
-                            target[1],
-                            len(outcomes),
-                            keys[target].digest,
-                        )
-                        for outcome in outcomes:
-                            obs.on_outcome(outcome)
-                    for outcome in outcomes:
-                        result.add(outcome)
-                    completed += len(outcomes)
-                    if progress is not None:
-                        progress(completed, total)
-                else:
-                    for outcome in fresh.get(target, []):
-                        result.add(outcome)
-        self.last_store_stats = session[2] if session is not None else None
-        if obs is not None:
-            obs.on_campaign_finished(result, time.perf_counter() - started)
-        return result
-
-    def _golden_for_case(
-        self, case_id: str, case: CaseT
-    ) -> tuple[SimulationRun, GoldenRun, dict[int, RunCheckpoint]]:
-        """Build the runtime and record the Golden Run of one test case.
-
-        With prefix reuse enabled, checkpoints are captured at every
-        configured injection time while the Golden Run executes.
-        """
-        obs = self._observer
-        config = self._config
-        runner = self._run_factory(case)
-        runner.clear_hooks()
-        if obs is not None:
-            if obs.metrics is not None:
-                runner.set_metrics(obs.metrics)
-            obs.on_run_started(case_id, kind="golden")
-        checkpoint_times = (
-            config.injection_times_ms if config.reuse_golden_prefix else ()
+        return self._execute(
+            progress, "serial", functools.partial(self._serial_executor, inspector)
         )
-        digests = None
-
-        def record():
-            if config.fast_forward:
-                return runner.run_with_checkpoints(
-                    config.duration_ms, checkpoint_times, frame_digests=True
-                )
-            if checkpoint_times:
-                return runner.run_with_checkpoints(
-                    config.duration_ms, checkpoint_times
-                )
-            return runner.run(config.duration_ms), {}
-
-        if obs is not None and obs.metrics is not None:
-            with obs.metrics.timer("phase.golden_run.seconds"):
-                recorded = record()
-        else:
-            recorded = record()
-        if config.fast_forward:
-            golden_result, checkpoints, digests = recorded
-        else:
-            golden_result, checkpoints = recorded
-        if obs is not None and checkpoints:
-            obs.on_checkpoints_saved(case_id, sorted(checkpoints))
-        golden = GoldenRun(
-            case_id=case_id,
-            result=golden_result,
-            digests=digests,
-            initials=runner.store.initial_values(),
-        )
-        return runner, golden, checkpoints
-
-    def _case_injections(
-        self,
-        runner: SimulationRun,
-        golden: GoldenRun,
-        targets: Sequence[tuple[str, str]],
-        checkpoints: Mapping[int, RunCheckpoint],
-    ) -> Iterator[tuple[InjectionOutcome, RunResult]]:
-        """Yield every IR of ``targets`` for one test case, in grid order.
-
-        Execution is delegated to the configured simulation backend;
-        the campaign retains ownership of grid order, observers,
-        comparison and outcome records via the case context.
-        """
-        context = _CaseContext(self, runner, golden, targets, checkpoints)
-        return self._exec_backend.case_injections(context)
-
-    def _one_injection(
-        self,
-        runner: SimulationRun,
-        golden: GoldenRun,
-        case_id: str,
-        module: str,
-        signal: str,
-        time_ms: int,
-        model: ErrorModel,
-        checkpoint: RunCheckpoint | None = None,
-        golden_ref: GoldenReference | None = None,
-    ) -> tuple[InjectionOutcome, "RunResult"]:
-        if runner.hooks_installed:
-            raise CampaignError(
-                "runtime has hooks installed from a previous run; "
-                "refusing to arm a trap on a dirty runtime"
-            )
-        obs = self._observer
-        if obs is not None:
-            obs.on_run_started(
-                case_id,
-                kind="injection",
-                module=module,
-                signal=signal,
-                time_ms=time_ms,
-                error_model=model.name,
-            )
-            if checkpoint is not None:
-                obs.on_checkpoint_reused(
-                    case_id, time_ms, skipped_ms=checkpoint.time_ms
-                )
-        trap = InputInjectionTrap.for_system(
-            self._system,
-            module=module,
-            signal=signal,
-            time_ms=time_ms,
-            error_model=model,
-            seed=_derive_seed(
-                self._config.seed, case_id, module, signal, time_ms, model.name
-            ),
-        )
-        runner.add_read_interceptor(trap)
-        try:
-            if obs is not None and obs.metrics is not None:
-                with obs.metrics.timer("phase.injection_run.seconds"):
-                    if checkpoint is not None:
-                        injected = runner.run_from(
-                            checkpoint, self._config.duration_ms, golden_ref
-                        )
-                    else:
-                        injected = runner.run(
-                            self._config.duration_ms, golden_ref
-                        )
-            elif checkpoint is not None:
-                injected = runner.run_from(
-                    checkpoint, self._config.duration_ms, golden_ref
-                )
-            else:
-                injected = runner.run(self._config.duration_ms, golden_ref)
-        finally:
-            runner.clear_hooks()
-        return self._finish_injection(
-            golden, case_id, module, signal, time_ms, model,
-            injected, trap.fired_at_ms,
-        )
-
-    def _finish_injection(
-        self,
-        golden: GoldenRun,
-        case_id: str,
-        module: str,
-        signal: str,
-        time_ms: int,
-        model: ErrorModel,
-        injected: "RunResult",
-        fired_at_ms: int | None,
-    ) -> tuple[InjectionOutcome, "RunResult"]:
-        """Compare an executed IR to its Golden Run and record the outcome."""
-        obs = self._observer
-        if obs is not None and obs.metrics is not None:
-            with obs.metrics.timer("phase.comparison.seconds"):
-                comparison = compare_to_golden_run(golden, injected)
-        else:
-            comparison = compare_to_golden_run(golden, injected)
-        outcome = InjectionOutcome(
-            case_id=case_id,
-            module=module,
-            input_signal=signal,
-            scheduled_time_ms=time_ms,
-            fired_at_ms=fired_at_ms,
-            error_model=model.name,
-            comparison=comparison,
-            reconverged_at_ms=injected.reconverged_at_ms,
-            frames_fast_forwarded=injected.frames_fast_forwarded,
-        )
-        if obs is not None:
-            obs.on_outcome(outcome)
-        return outcome, injected
-
-    # ------------------------------------------------------------------
-    # Parallel execution
-    # ------------------------------------------------------------------
 
     def execute_parallel(
         self,
@@ -1829,16 +1154,11 @@ class InjectionCampaign:
         once per test case in the parent process; the workers replay
         only the injection suffixes.
 
-        The campaign-wide payload is shipped *once per worker* through
-        the pool initializer, not once per chunk: each Golden-Run trace
-        set is packed into one flat ``array('q')`` published via
-        ``multiprocessing.shared_memory`` (workers map it zero-copy;
-        when shared memory is unavailable the packed bytes ride along
-        in the payload instead), checkpoints travel stripped of their
-        trace prefixes (reconstructed worker-side from the shared
-        Golden Run), and each worker keeps its runtime and Golden-Run
-        views cached across chunks.  A chunk task is then just
-        ``(case_id, targets)``.
+        The campaign-wide payload is shipped *once per worker* (see
+        "Zero-copy golden-run sharing" above), so a chunk task is just
+        ``(case_id, specs)``, the chunk's ``(module, signal, time_ms,
+        model_index)`` points.  Adaptive campaigns keep the pool up
+        across rounds and send one task per case and round.
 
         Produces bit-identical outcomes to :meth:`execute` (per-run
         seeds are derived from the configuration, not from execution
@@ -1862,189 +1182,467 @@ class InjectionCampaign:
             cheap (the Golden Run is already worker-resident), so
             fine sharding costs little.
         """
-        if self._config.adaptive:
-            return self._execute_adaptive_parallel(max_workers, progress)
-        import concurrent.futures
-        import dataclasses
-        import os
-        from multiprocessing import shared_memory
+        if chunk_size is not None and chunk_size < 1:
+            raise CampaignError(f"chunk_size must be >= 1, got {chunk_size}")
+        return self._execute(
+            progress,
+            "parallel",
+            functools.partial(self._pool_executor, max_workers, chunk_size),
+        )
 
+    def _execute(
+        self, progress: ProgressCallback | None, mode: str, executor
+    ) -> CampaignResult:
+        """The campaign pipeline: plan, schedule, execute, recompose.
+
+        *Plan*: lint gate, static pruning (pruned targets recorded as
+        exact zeros) and one result-store lookup.  *Schedule*: rounds
+        mapping each target to ``(case_id, time_ms, model_index)``
+        trials — the whole grid as one round in exhaustive mode, the
+        controller's rounds in adaptive mode.  *Execute*:
+        ``executor(need_cases, live_targets)`` is a context manager
+        yielding ``run_batches(batches, tick)``, which runs
+        ``[(case_id, specs)]`` and returns an iterable of each batch's
+        outcomes in spec order, calling ``tick(n_runs)`` as runs
+        complete; ``need_cases`` are the cases the store cannot fully
+        answer.  *Recompose*: outcomes join the result in schedule
+        order, cached ones exactly where a cold run would put them;
+        rows that gained executed runs are published to the store case
+        by case (exhaustive mode) or after the last round (adaptive).
+        """
         obs = self._observer
+        config = self._config
         started = time.perf_counter()
         if obs is not None:
-            obs.on_campaign_started(self, mode="parallel")
+            obs.on_campaign_started(self, mode=mode)
             obs.on_backend_selected(self._exec_backend.name)
         self._lint_gate()
         live_targets, pruned = self._plan_pruning()
-        session = self._store_session()
-        config = dataclasses.replace(
-            self._config, targets=live_targets
-        )
+        result = CampaignResult(self._system)
         total = self.total_runs()
-        if chunk_size is None:
+        runs_per_target = config.runs_per_target()
+        per_target = len(self._test_cases) * runs_per_target
+        completed = 0
+
+        def tick(n_runs: int) -> None:
+            nonlocal completed
+            completed += n_runs
+            if progress is not None:
+                progress(completed, total)
+
+        for module, signal in pruned:
+            result.record_pruned(module, signal, per_target)
+        if pruned:
+            if obs is not None:
+                n_arcs = sum(len(self._system.module(m).outputs) for m, _ in pruned)
+                obs.on_arcs_pruned(pruned, per_target, n_arcs)
+            tick(len(pruned) * per_target)
+
+        grid = tuple(
+            (case_id, time_ms, index)
+            for case_id in self._test_cases
+            for time_ms in config.injection_times_ms
+            for index in range(len(config.error_models))
+        )
+        adaptive = None
+        if config.adaptive:
+            adaptive = _AdaptiveRounds(self._system, obs, config, live_targets, grid)
+        session = self._store_session()
+        case_keys, row_keys, cache = self._plan_store(
+            session, live_targets, pruned, adaptive
+        )
+        need_cases = tuple(
+            case_id
+            for case_id in self._test_cases
+            if any(
+                len(cache.get((case_id, target), ())) < runs_per_target
+                for target in live_targets
+            )
+        )
+        # Each cacheable row's outcomes; rows gaining runs republish whole.
+        achieved: dict[tuple, list[InjectionOutcome]] = {}
+        extended: set[tuple] = set()
+
+        def publish(case_id: str) -> None:
+            rows = {
+                target: (row_keys[(case_id, target)], achieved[(case_id, target)])
+                for target in live_targets
+                if (case_id, target) in extended
+            }
+            self._publish(session[0], case_id, case_keys[case_id], rows, pruned)
+
+        n_executed = n_reused = 0
+        with executor(need_cases, live_targets) as run_batches:
+            exhaustive = [{target: grid for target in live_targets}]
+            for schedule in exhaustive if adaptive is None else adaptive.rounds():
+                plan, batches = _plan_round(
+                    schedule, tuple(self._test_cases), cache, config.error_models
+                )
+                executed = run_batches(batches, tick) if batches else ()
+                # A whole adaptive round runs before it recomposes.
+                executed = iter(list(executed) if adaptive else executed)
+                batch_cases = {case_id for case_id, _ in batches}
+                round_outcomes = []
+                for case_id, points in plan:
+                    fresh = iter(next(executed) if case_id in batch_cases else ())
+                    n_cached = 0
+                    announced = None
+                    for target, cached in points:
+                        row = (case_id, target)
+                        if cached is None:
+                            outcome = next(fresh)
+                            n_executed += 1
+                        else:
+                            outcome = cached
+                            n_cached += 1
+                            if obs is not None:
+                                if adaptive is None and row != announced:
+                                    announced = row  # exhaustive rows reuse whole
+                                    obs.on_unit_reused(
+                                        case_id, *target, runs_per_target,
+                                        row_keys[row],
+                                    )
+                                obs.on_outcome(outcome)
+                        if row in row_keys:
+                            achieved.setdefault(row, []).append(outcome)
+                            if cached is None:
+                                extended.add(row)
+                        result.add(outcome)
+                        round_outcomes.append(outcome)
+                    n_reused += n_cached
+                    if n_cached:
+                        tick(n_cached)
+                    if adaptive is None and session is not None:
+                        publish(case_id)  # completed cases survive a crash
+                if adaptive is not None:
+                    adaptive.close_round(round_outcomes, result)
+        if adaptive is not None:
+            adaptive.finish()
+            if session is not None:
+                for case_id in self._test_cases:
+                    publish(case_id)
+        if session is not None:
+            session[2].runs_executed += n_executed
+            session[2].runs_reused += n_reused
+        self.last_store_stats = None if session is None else session[2]
+        if obs is not None:
+            obs.on_campaign_finished(result, time.perf_counter() - started)
+        return result
+
+    @contextlib.contextmanager
+    def _serial_executor(
+        self,
+        inspector: "InspectorCallback | None",
+        need_cases: Sequence[str],
+        live_targets: Sequence[tuple[str, str]],
+    ) -> Iterator[Callable]:
+        """In-process executor for :meth:`_execute`.
+
+        A case's Golden Run is recorded when its first batch arrives,
+        and every injection run reaches ``inspector`` with its traces.
+        Batches run lazily, as the pipeline recomposes each case; only
+        adaptive rounds keep a case's runtime and checkpoints.
+        """
+        cases: dict[str, tuple] = {}
+
+        def run_batches(batches, tick):
+            for case_id, specs in batches:
+                context = cases.get(case_id) or self._golden_for_case(
+                    case_id, self._test_cases[case_id]
+                )
+                if self._config.adaptive:
+                    cases[case_id] = context  # later rounds revisit the case
+                runner, golden, checkpoints = context
+                outcomes = []
+                for outcome, injected in self._injections(
+                    runner, golden, checkpoints, specs
+                ):
+                    if inspector is not None:
+                        inspector(outcome, injected, golden)
+                    outcomes.append(outcome)
+                    tick(1)
+                yield outcomes
+
+        yield run_batches
+
+    @contextlib.contextmanager
+    def _pool_executor(
+        self,
+        max_workers: int | None,
+        chunk_size: int | None,
+        need_cases: Sequence[str],
+        live_targets: Sequence[tuple[str, str]],
+    ) -> Iterator[Callable]:
+        """Process-pool executor for :meth:`_execute`.
+
+        Golden Runs and shared-memory blobs are prepared only for
+        ``need_cases``, inside the cleanup scope, so every segment is
+        unlinked however set-up or execution ends.  The pool lives
+        across rounds.  Exhaustive batches split into tasks of
+        ``chunk_size`` targets; an adaptive round sends one task per
+        case.
+        """
+        import concurrent.futures
+
+        obs = self._observer
+        if self._config.adaptive:
+            chunk_size = None
+        elif chunk_size is None:
             workers = max_workers or os.cpu_count() or 1
             grid = len(self._test_cases) * len(live_targets)
             chunk_size = max(1, -(-grid // (4 * workers)))
-        elif chunk_size < 1:
-            raise CampaignError(f"chunk_size must be >= 1, got {chunk_size}")
-
-        case_blobs = []
         segments: list = []
-        tasks: list[tuple[str, tuple[tuple[str, str], ...]]] = []
-        result = CampaignResult(self._system)
-        completed = 0
-        if pruned:
-            per_target = len(self._test_cases) * self._config.runs_per_target()
-            n_arcs = self._record_pruned(result, pruned, per_target)
-            if obs is not None:
-                obs.on_arcs_pruned(pruned, per_target, n_arcs)
-            completed = len(pruned) * per_target
-            if progress is not None:
-                progress(completed, total)
-        case_plans: dict[str, tuple[dict, dict]] = {}
-        fresh_by_case: dict[str, dict[tuple[str, str], list[InjectionOutcome]]] = {}
-        try:
-            for case_id, case in self._test_cases.items():
-                case_targets = live_targets
-                if session is not None:
-                    store, builder, stats = session
-                    keys, cached = self._plan_case_store(
-                        store, builder, stats, case_id, case,
-                        live_targets, pruned,
-                    )
-                    case_plans[case_id] = (keys, cached)
-                    case_targets = tuple(
-                        target
-                        for target in live_targets
-                        if target not in cached
-                    )
-                    completed += sum(len(runs) for runs in cached.values())
-                    if cached and progress is not None:
-                        progress(completed, total)
-                    if not case_targets:
-                        # Fully reused: no Golden Run, no blob, no tasks.
-                        continue
-                runner, golden, checkpoints = self._golden_for_case(
-                    case_id, case
-                )
-                self._golden_runs[case_id] = golden
-                signals, duration_ms, flat = pack_trace_samples(
-                    golden.result.traces
-                )
-                n_bytes = len(flat) * flat.itemsize
-                shm_name = None
-                raw = None
-                try:
-                    segment = shared_memory.SharedMemory(
-                        create=True, size=max(1, n_bytes)
-                    )
-                    segment.buf[:n_bytes] = memoryview(flat).cast("B")
-                    segments.append(segment)
-                    shm_name = segment.name
-                except OSError:
-                    raw = flat.tobytes()
-                case_blobs.append(
-                    {
-                        "case_id": case_id,
-                        "case": case,
-                        "signals": signals,
-                        "duration_ms": duration_ms,
-                        "shm_name": shm_name,
-                        "raw": raw,
-                        "checkpoints": {
-                            time_ms: cp.without_trace_prefix()
-                            for time_ms, cp in checkpoints.items()
-                        },
-                        "digests": golden.digests,
-                        "initials": golden.initials,
-                        "final_signals": golden.result.final_signals,
-                        "telemetry": golden.result.telemetry,
-                    }
-                )
-                for start in range(0, len(case_targets), chunk_size):
-                    tasks.append(
-                        (case_id, case_targets[start : start + chunk_size])
-                    )
+        pool: concurrent.futures.ProcessPoolExecutor | None = None
+        n_chunks = 0
 
-            if tasks:
-                payload = (
-                    self._system,
-                    self._run_factory,
-                    config,
-                    obs is not None,
-                    tuple(case_blobs),
-                )
-                with concurrent.futures.ProcessPoolExecutor(
+        def run_batches(batches, tick):
+            nonlocal n_chunks
+            assert pool is not None, "fresh runs without worker blobs"
+            tasks = [
+                (case_id, chunk)
+                for case_id, specs in batches
+                for chunk in _target_chunks(specs, chunk_size)
+            ]
+            executed: dict[str, list] = {case_id: [] for case_id, _ in batches}
+            for (case_id, specs), (outcomes, obs_payload, elapsed_s) in zip(
+                tasks, pool.map(_run_shard, tasks)
+            ):
+                executed[case_id].extend(outcomes)
+                if obs is not None:
+                    if obs_payload is not None:
+                        obs.absorb_worker(obs_payload)
+                    if obs.propagation is not None:
+                        obs.propagation.record_all(outcomes)
+                    obs.on_chunk_completed(
+                        chunk_index=n_chunks,
+                        case_id=case_id,
+                        n_targets=len({spec[:2] for spec in specs}),
+                        n_runs=len(outcomes),
+                        elapsed_s=elapsed_s,
+                    )
+                n_chunks += 1
+                tick(len(outcomes))
+            return list(executed.values())
+
+        try:
+            blobs = [self._case_blob(case_id, segments) for case_id in need_cases]
+            if blobs:
+                payload = (self._system, self._run_factory, self._config,
+                           obs is not None, tuple(blobs))
+                pool = concurrent.futures.ProcessPoolExecutor(
                     max_workers=max_workers,
                     initializer=_worker_init,
                     initargs=(payload,),
-                ) as pool:
-                    for index, (outcomes, obs_payload, elapsed_s) in enumerate(
-                        pool.map(_run_shard, tasks)
-                    ):
-                        if session is None:
-                            for outcome in outcomes:
-                                result.add(outcome)
-                        else:
-                            per_case = fresh_by_case.setdefault(
-                                tasks[index][0], {}
-                            )
-                            for outcome in outcomes:
-                                per_case.setdefault(
-                                    (outcome.module, outcome.input_signal), []
-                                ).append(outcome)
-                            session[2].runs_executed += len(outcomes)
-                        completed += len(outcomes)
-                        if obs is not None:
-                            if obs_payload is not None:
-                                obs.absorb_worker(obs_payload)
-                            if obs.propagation is not None:
-                                obs.propagation.record_all(outcomes)
-                            chunk_case, chunk_targets = tasks[index]
-                            obs.on_chunk_completed(
-                                chunk_index=index,
-                                case_id=chunk_case,
-                                n_targets=len(chunk_targets),
-                                n_runs=len(outcomes),
-                                elapsed_s=elapsed_s,
-                            )
-                        if progress is not None:
-                            progress(completed, total)
+                )
+            yield run_batches
         finally:
+            if pool is not None:
+                pool.shutdown()
             for segment in segments:
                 try:
                     segment.close()
                     segment.unlink()
                 except OSError:  # pragma: no cover - already gone
                     pass
-        if session is not None:
-            store, builder, stats = session
-            for case_id in self._test_cases:
-                keys, cached = case_plans[case_id]
-                fresh = fresh_by_case.get(case_id, {})
-                self._publish_case_units(store, keys, case_id, fresh, pruned)
-                # Recompose in canonical grid order (see execute()).
-                for target in live_targets:
-                    if target in cached:
-                        for_unit = cached[target]
-                        if obs is not None:
-                            obs.on_unit_reused(
-                                case_id,
-                                target[0],
-                                target[1],
-                                len(for_unit),
-                                keys[target].digest,
-                            )
-                            for outcome in for_unit:
-                                obs.on_outcome(outcome)
-                        for outcome in for_unit:
-                            result.add(outcome)
-                    else:
-                        for outcome in fresh.get(target, []):
-                            result.add(outcome)
-            self.last_store_stats = stats
+
+    def _case_blob(self, case_id: str, segments: list) -> dict:
+        """Record a case's Golden Run and pack it for the worker pool.
+
+        The trace set becomes one flat ``array('q')`` in a new
+        shared-memory segment, appended to ``segments`` before it is
+        filled so the caller always unlinks it; without shared memory
+        the packed bytes ride along in the payload.  Checkpoints travel
+        without their trace prefixes.
+        """
+        from multiprocessing import shared_memory
+
+        _, golden, checkpoints = self._golden_for_case(
+            case_id, self._test_cases[case_id]
+        )
+        signals, duration_ms, flat = pack_trace_samples(golden.result.traces)
+        n_bytes = len(flat) * flat.itemsize
+        shm_name = None
+        raw = None
+        try:
+            segment = shared_memory.SharedMemory(create=True, size=max(1, n_bytes))
+        except OSError:
+            raw = flat.tobytes()
         else:
-            self.last_store_stats = None
+            segments.append(segment)
+            segment.buf[:n_bytes] = memoryview(flat).cast("B")
+            shm_name = segment.name
+        return {
+            "case_id": case_id,
+            "case": self._test_cases[case_id],
+            "signals": signals,
+            "duration_ms": duration_ms,
+            "shm_name": shm_name,
+            "raw": raw,
+            "checkpoints": {
+                time_ms: cp.without_trace_prefix()
+                for time_ms, cp in checkpoints.items()
+            },
+            "digests": golden.digests,
+            "initials": golden.initials,
+            "final_signals": golden.result.final_signals,
+            "telemetry": golden.result.telemetry,
+        }
+
+    def _timer(self, name: str):
+        """``metrics.timer(name)``, or a no-op without a metrics registry."""
+        obs = self._observer
+        if obs is None or obs.metrics is None:
+            return contextlib.nullcontext()
+        return obs.metrics.timer(name)
+
+    def _golden_for_case(
+        self, case_id: str, case: CaseT
+    ) -> tuple[SimulationRun, GoldenRun, dict[int, RunCheckpoint]]:
+        """Build the runtime and record the Golden Run of one test case.
+
+        With prefix reuse enabled, checkpoints are captured at every
+        configured injection time while the Golden Run executes.
+        """
+        obs = self._observer
+        config = self._config
+        runner = self._run_factory(case)
+        runner.clear_hooks()
         if obs is not None:
-            obs.on_campaign_finished(result, time.perf_counter() - started)
-        return result
+            if obs.metrics is not None:
+                runner.set_metrics(obs.metrics)
+            obs.on_run_started(case_id, kind="golden")
+        checkpoint_times = (
+            config.injection_times_ms if config.reuse_golden_prefix else ()
+        )
+        digests = None
+        with self._timer("phase.golden_run.seconds"):
+            if config.fast_forward:
+                golden_result, checkpoints, digests = runner.run_with_checkpoints(
+                    config.duration_ms, checkpoint_times, frame_digests=True
+                )
+            elif checkpoint_times:
+                golden_result, checkpoints = runner.run_with_checkpoints(
+                    config.duration_ms, checkpoint_times
+                )
+            else:
+                golden_result, checkpoints = runner.run(config.duration_ms), {}
+        if obs is not None and checkpoints:
+            obs.on_checkpoints_saved(case_id, sorted(checkpoints))
+        golden = GoldenRun(
+            case_id=case_id,
+            result=golden_result,
+            digests=digests,
+            initials=runner.store.initial_values(),
+        )
+        self._golden_runs[case_id] = golden
+        return runner, golden, checkpoints
+
+    def _injections(
+        self,
+        runner: SimulationRun,
+        golden: GoldenRun,
+        checkpoints: Mapping[int, RunCheckpoint],
+        specs: Sequence[_Spec],
+    ) -> Iterator[tuple[InjectionOutcome, RunResult]]:
+        """Yield the IRs of one case's ``specs``, in spec order.
+
+        Execution is delegated to the configured simulation backend;
+        the campaign retains ownership of observers, comparison and
+        outcome records via the case context.
+        """
+        models = self._config.error_models
+        points = [
+            _InjectionPoint(
+                module, signal, time_ms, models[index], checkpoints.get(time_ms)
+            )
+            for module, signal, time_ms, index in specs
+        ]
+        return self._exec_backend.case_injections(
+            _CaseContext(self, runner, golden, points)
+        )
+
+    def _one_injection(
+        self,
+        runner: SimulationRun,
+        golden: GoldenRun,
+        case_id: str,
+        module: str,
+        signal: str,
+        time_ms: int,
+        model: ErrorModel,
+        checkpoint: RunCheckpoint | None = None,
+        golden_ref: GoldenReference | None = None,
+    ) -> tuple[InjectionOutcome, "RunResult"]:
+        if runner.hooks_installed:
+            raise CampaignError(
+                "runtime has hooks installed from a previous run; "
+                "refusing to arm a trap on a dirty runtime"
+            )
+        point = _InjectionPoint(module, signal, time_ms, model, checkpoint)
+        self._announce_run(case_id, point)
+        trap = InputInjectionTrap.for_system(
+            self._system,
+            module=module,
+            signal=signal,
+            time_ms=time_ms,
+            error_model=model,
+            seed=_derive_seed(
+                self._config.seed, case_id, module, signal, time_ms, model.name
+            ),
+        )
+        runner.add_read_interceptor(trap)
+        try:
+            with self._timer("phase.injection_run.seconds"):
+                if checkpoint is not None:
+                    injected = runner.run_from(
+                        checkpoint, self._config.duration_ms, golden_ref
+                    )
+                else:
+                    injected = runner.run(self._config.duration_ms, golden_ref)
+        finally:
+            runner.clear_hooks()
+        return self._finish_injection(golden, point, injected, trap.fired_at_ms)
+
+    def _announce_run(self, case_id: str, point: _InjectionPoint) -> None:
+        """Emit an IR's ``RunStarted`` (and ``CheckpointReused``) events."""
+        obs = self._observer
+        if obs is None:
+            return
+        obs.on_run_started(
+            case_id,
+            kind="injection",
+            module=point.module,
+            signal=point.signal,
+            time_ms=point.time_ms,
+            error_model=point.model.name,
+        )
+        if point.checkpoint is not None:
+            obs.on_checkpoint_reused(
+                case_id, point.time_ms, skipped_ms=point.checkpoint.time_ms
+            )
+
+    def _finish_injection(
+        self,
+        golden: GoldenRun,
+        point: _InjectionPoint,
+        injected: "RunResult",
+        fired_at_ms: int | None,
+    ) -> tuple[InjectionOutcome, "RunResult"]:
+        """Compare an executed IR to its Golden Run and record the outcome."""
+        obs = self._observer
+        with self._timer("phase.comparison.seconds"):
+            comparison = compare_to_golden_run(golden, injected)
+        outcome = InjectionOutcome(
+            case_id=golden.case_id,
+            module=point.module,
+            input_signal=point.signal,
+            scheduled_time_ms=point.time_ms,
+            fired_at_ms=fired_at_ms,
+            error_model=point.model.name,
+            comparison=comparison,
+            reconverged_at_ms=injected.reconverged_at_ms,
+            frames_fast_forwarded=injected.frames_fast_forwarded,
+        )
+        if obs is not None:
+            obs.on_outcome(outcome)
+        return outcome, injected

@@ -258,6 +258,35 @@ def test_adaptive_with_prune_and_store_warm_replay(tmp_path):
     assert warm_result.n_pruned_runs() == cold_result.n_pruned_runs()
 
 
+def test_partly_cached_adaptive_row_is_republished_whole(tmp_path):
+    """A stored row extended by executed trials keeps its cached ones."""
+    gen = generate_system(7)
+    kw = dict(**ADAPTIVE, round_size=4, store=str(tmp_path))
+    target = ("M0", "s0_fb")
+    # Sharing rounds with every other target, this one retires at 6
+    # trials; alone it takes whole rounds of 4 and needs 8, the first
+    # 6 of which the stored row answers (same seeded pool order).
+    _campaign(gen, **kw).execute()
+    second = _campaign(gen, targets=(target,), **kw)
+    result = second.execute()
+    (row,) = result.adaptive_rows()
+    stats = second.last_store_stats
+    assert stats.runs_reused == 6 and stats.runs_executed == row.n_trials - 6 > 0
+    third = _campaign(gen, targets=(target,), **kw)
+    assert _outs(third.execute()) == _outs(result)
+    assert third.last_store_stats.runs_executed == 0
+    stored = [
+        payload
+        for payload in (
+            json.loads(path.read_text())["payload"]
+            for path in (tmp_path / "units").glob("*/*.json")
+        )
+        if payload["kind"] == "adaptive-unit"
+        and (payload["module"], payload["signal"]) == target
+    ]
+    assert [payload["outcomes"] for payload in stored] == [_outs(result)]
+
+
 # ---------------------------------------------------------------------------
 # Configuration validation
 # ---------------------------------------------------------------------------

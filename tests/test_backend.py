@@ -298,6 +298,54 @@ class TestBatchedIdentity:
         )
 
 
+class TestBatchedCallShape:
+    def test_one_call_per_case_with_every_live_grid_point(self, monkeypatch):
+        """A case's points reach the kernel in one ``case_injections`` call.
+
+        Splitting them would shrink the per-instant lane groups the
+        batched kernel steps in lockstep.
+        """
+        calls = []
+        original = BatchedBackend.case_injections
+
+        def spy(self, context):
+            calls.append(
+                (
+                    context.golden.case_id,
+                    [
+                        (p.module, p.signal, p.time_ms, p.model.name)
+                        for p in context.injection_points()
+                    ],
+                )
+            )
+            return original(self, context)
+
+        monkeypatch.setattr(BatchedBackend, "case_injections", spy)
+        generated = generate_system(seed=7)
+        config = CampaignConfig(
+            duration_ms=200,
+            injection_times_ms=(30, 110),
+            error_models=(BitFlip(0), BitFlip(3)),
+            seed=5,
+            backend="batched",
+            static_prune=True,
+        )
+        campaign = InjectionCampaign(
+            generated.system, generated.run_factory, ["a", "b"], config
+        )
+        result = campaign.execute()
+        pruned = set(result.pruned_targets())
+        live = [target for target in campaign.targets if target not in pruned]
+        assert live
+        expected = [
+            (module, signal, time_ms, model.name)
+            for module, signal in live
+            for time_ms in config.injection_times_ms
+            for model in config.error_models
+        ]
+        assert calls == [("case00", expected), ("case01", expected)]
+
+
 # ---------------------------------------------------------------------------
 # Observability
 # ---------------------------------------------------------------------------

@@ -86,3 +86,49 @@ class TestExecuteParallel:
         assert set(campaign.golden_runs()) == {"c0", "c1", "c2"}
         for golden in campaign.golden_runs().values():
             assert golden.duration_ms == 30
+
+
+def failing_factory(case):
+    """Picklable run factory whose Golden Run set-up fails for ``"bad"``."""
+    if case == "bad":
+        raise RuntimeError("factory failed for case 'bad'")
+    return toy_factory(case)
+
+
+@pytest.mark.parametrize("adaptive", [False, True], ids=["exhaustive", "adaptive"])
+def test_failed_setup_unlinks_every_shared_memory_segment(monkeypatch, adaptive):
+    """A Golden Run failing mid set-up must not leak earlier segments."""
+    from multiprocessing import shared_memory
+
+    real = shared_memory.SharedMemory
+    created: list[str] = []
+
+    class SpySharedMemory(real):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if kwargs.get("create"):
+                created.append(self.name)
+
+    monkeypatch.setattr(shared_memory, "SharedMemory", SpySharedMemory)
+    config = CampaignConfig(
+        duration_ms=30,
+        injection_times_ms=(5, 15),
+        error_models=(BitFlip(15), BitFlip(3)),
+        adaptive=adaptive,
+    )
+    campaign = InjectionCampaign(
+        build_toy_model(), failing_factory, {"ok": "ok", "bad": "bad"}, config
+    )
+    with pytest.raises(RuntimeError, match="factory failed"):
+        campaign.execute_parallel(max_workers=1)
+    assert created, "the first case's Golden Run should have been shared"
+    leaked = []
+    for name in created:
+        try:
+            segment = real(name=name)
+        except FileNotFoundError:
+            continue
+        leaked.append(name)
+        segment.close()
+        segment.unlink()
+    assert leaked == []

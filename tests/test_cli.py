@@ -80,28 +80,6 @@ class TestWorkersFlag:
     def test_workers_flag(self):
         args = build_parser().parse_args(["campaign", "--workers", "4"])
         assert args.workers == 4
-        assert args.parallel is None
-
-    def test_parallel_alias_warns_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="--parallel is deprecated"):
-            args = build_parser().parse_args(["campaign", "--parallel", "4"])
-        assert args.parallel == 4
-        assert args.workers is None
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["campaign", "--workers", "2", "--parallel", "4"],
-            ["campaign", "--parallel", "4", "--workers", "2"],
-        ],
-        ids=["workers-first", "parallel-first"],
-    )
-    def test_workers_and_parallel_conflict(self, argv, capsys):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(SystemExit) as excinfo:
-                build_parser().parse_args(argv)
-        assert excinfo.value.code == 2
-        assert "--workers" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -283,12 +261,11 @@ class TestFlowExitCodes:
 
 class TestTwoNodeFlags:
     def test_campaign_twonode_flag(self):
-        with pytest.warns(DeprecationWarning):
-            args = build_parser().parse_args(
-                ["campaign", "--twonode", "--parallel", "4"]
-            )
+        args = build_parser().parse_args(
+            ["campaign", "--twonode", "--workers", "4"]
+        )
         assert args.twonode is True
-        assert args.parallel == 4
+        assert args.workers == 4
 
     def test_analyze_twonode_flag(self):
         args = build_parser().parse_args(["analyze", "m.json", "--twonode"])

@@ -120,6 +120,24 @@ class TestWarmReplay:
         assert _outs(warm.execute()) == _outs(baseline)
         assert warm.last_store_stats.runs_executed == 0
 
+    def test_interrupted_serial_run_keeps_completed_cases(self, tmp_path):
+        gen = generate_system(11)
+        config = _campaign(gen, store=tmp_path).config
+        cases = {"w0": None, "w1": None}
+
+        def crash_in_second_case(outcome, injected, golden):
+            if outcome.case_id == "w1":
+                raise RuntimeError("interrupted")
+
+        first = InjectionCampaign(gen.system, gen.run_factory, cases, config)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            first.execute(inspector=crash_in_second_case)
+        rerun = InjectionCampaign(gen.system, gen.run_factory, cases, config)
+        rerun.execute()
+        stats = rerun.last_store_stats
+        assert stats.hits == stats.misses == len(rerun.targets)
+        assert stats.runs_reused == stats.runs_executed
+
     def test_no_cache_reexecutes_and_refreshes(self, tmp_path):
         gen = generate_system(11)
         cold = _campaign(gen, store=tmp_path).execute()
@@ -282,6 +300,9 @@ class TestRobustness:
         payloads = [
             {"kind": "unit", "filler": "x" * 4096, "n": n} for n in range(2)
         ]
+        # Publish once up front: the property under test is that no torn
+        # artifact is ever visible once one exists, not a startup race.
+        store.put(key, payloads[0])
         stop = threading.Event()
         errors: list[Exception] = []
 
